@@ -8,21 +8,20 @@
 //
 // Figures: 5 (harvest rate, a+b), 6 (coverage, a+b), 7 (distance
 // histogram + hubs), 8a (classifier variants), 8b (memory scaling),
-// 8c (output scaling), 8d (distiller variants), plus four studies beyond
-// the paper: scale (worker scaling of the sharded frontier), stall
-// (distillation worker stall, barrier vs snapshot-and-go), classify
+// 8c (output scaling), 8d (distiller variants), plus studies beyond the
+// paper: scale (worker scaling of the sharded frontier), stall
+// (distillation worker stall, synchronous vs asynchronous epochs), classify
 // (the in-crawl classification batch sweep — Figure 8a's set-oriented
-// claim applied to the crawl hot path), sweep (incoming-weight sweep
-// cost by LINK stripe count, dst-routed vs probe-every-stripe), hostile
-// (harvest under rate limits, outages, and timeouts, naive vs the polite
-// politeness/backoff/breaker stack), and cores (crawl throughput and
-// distill latency vs GOMAXPROCS on the doc-heavy workload — the multicore
-// payoff of the parallel classifier stage and partitioned HITS), and pool
-// (buffer-pool sharding: the disk-resident crawl and a cold-B+tree-probe
-// microbench at pool shards 1/4/16 × pool sizes — the serial pool holds
-// its latch across every miss's disk read, the sharded pool does miss I/O
-// off the latch); for sweep, hostile, cores, and pool, -json writes the
-// study as a machine-readable artifact.
+// claim applied to the crawl hot path), sweep (dst-routed incoming-weight
+// sweep cost by LINK stripe count), hostile (harvest under rate limits,
+// outages, and timeouts, naive vs the polite politeness/backoff/breaker
+// stack), cores (crawl throughput and distill latency vs GOMAXPROCS on the
+// doc-heavy workload — the multicore payoff of the parallel classifier
+// stage and partitioned HITS), and pool (buffer-pool sharding: the
+// disk-resident crawl and a cold-B+tree-probe microbench at pool shards
+// 1/4/16 × pool sizes; every shard count does miss I/O off the latch); for
+// sweep, hostile, cores, and pool, -json writes the study as a
+// machine-readable artifact.
 package main
 
 import (
@@ -207,12 +206,12 @@ func main() {
 
 	run("sweep", func() error {
 		// Incoming-weight sweep cost by LINK stripe count: the same
-		// link-heavy crawl at stripes 1/8/32/128, dst-routed vs the legacy
-		// probe-every-stripe sweep, in the paper's disk-resident regime
-		// (small buffer pool plus simulated page-read latency, as the
-		// figure 8 experiments run). The study sizes its own web — a small
-		// page population at hub density, so LINK dominates the I/O
-		// working set — hence only seed, topic, and budget pass through.
+		// link-heavy crawl at stripes 1/8/32/128, in the paper's
+		// disk-resident regime (small buffer pool plus simulated page-read
+		// latency, as the figure 8 experiments run). The study sizes its
+		// own web — a small page population at hub density, so LINK
+		// dominates the I/O working set — hence only seed, topic, and
+		// budget pass through.
 		r, err := eval.RunSweepScaling(eval.SweepScalingConfig{
 			Web:   webgraph.Config{Seed: *seed, TopicWeights: map[string]float64{*topic: *weight}},
 			Topic: *topic, Budget: *budget / 4,
@@ -296,11 +295,11 @@ func main() {
 	run("pool", func() error {
 		// Buffer-pool sharding: the PR 5 disk-resident crawl workload plus
 		// the cold-B+tree-probe microbench, at pool shards 1/4/16 × two
-		// pool sizes with equal total frames. The 1-shard pool is the seed
-		// engine's discipline (latch held across every miss's disk read);
-		// sharded pools publish the victim frame in a loading state and
-		// read off the latch, so independent misses overlap and concurrent
-		// fetchers of one page share a single read. The study sizes its own
+		// pool sizes with equal total frames. Every pool publishes the
+		// victim frame in a loading state and reads off the latch, so
+		// independent misses overlap and concurrent fetchers of one page
+		// share a single read; more shards split the latch itself. The
+		// study sizes its own
 		// link-heavy web; seed, topic, and budget pass through.
 		var shards []int
 		if *poolshards > 0 {
@@ -359,9 +358,9 @@ func main() {
 
 	run("stall", func() error {
 		// Crawl-while-distilling: worker stall attributable to
-		// distillation, legacy stop-the-world barrier vs the concurrent
-		// snapshot-and-go pipeline, on the link-heavy web with realistic
-		// 1999 fetch latency.
+		// distillation, synchronous epochs (each trigger waits for its
+		// epoch) vs the asynchronous pipeline, on the link-heavy web with
+		// realistic 1999 fetch latency.
 		heavy := eval.LinkHeavyWeb(*seed, *pages/3)
 		heavy.TopicWeights = map[string]float64{*topic: *weight}
 		r, err := eval.RunDistillStall(eval.DistillStallConfig{

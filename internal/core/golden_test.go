@@ -1,7 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"focus/internal/crawler"
@@ -36,6 +40,38 @@ var goldenCurve = map[int]float64{
 	300: 0.280000,
 	350: 0.230000,
 	380: 0.230000,
+}
+
+// goldenDigest is the SHA-256 of the full run (see harvestDigest): all 380
+// harvest points and the final published HUBS (207 rows) and AUTH (371
+// rows) scores, bit for bit. It was captured at commit 86cadf6, where this
+// crawl ran its distillation under the stop-the-world barrier (every epoch
+// computed and boosted with all workers stopped); synchronous epochs must
+// reproduce that run exactly.
+const goldenDigest = "0ac751e1767b2ebbb4f6188da4ce4c31485110cd722967b3fefdad4074c8f649"
+
+// harvestDigest hashes a finished crawl's harvest log in visit order
+// (sequence, oid, URL, relevance bits, leaf class) followed by its
+// published hub and authority scores in ascending oid order.
+func harvestDigest(log []crawler.HarvestPoint, hubs, auth map[int64]float64) string {
+	h := sha256.New()
+	for _, p := range log {
+		fmt.Fprintf(h, "%d %d %s %016x %d\n", p.Seq, p.OID, p.URL, math.Float64bits(p.Relevance), p.Kcid)
+	}
+	for _, tab := range []struct {
+		tag    string
+		scores map[int64]float64
+	}{{"H", hubs}, {"A", auth}} {
+		oids := make([]int64, 0, len(tab.scores))
+		for oid := range tab.scores {
+			oids = append(oids, oid)
+		}
+		sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
+		for _, oid := range oids {
+			fmt.Fprintf(h, "%s %d %016x\n", tab.tag, oid, math.Float64bits(tab.scores[oid]))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // goldenOIDPrefix is the first 40 visited oids in visit order.
@@ -77,12 +113,12 @@ func runGoldenHarvest(t *testing.T, classifyBatch int) {
 			Workers:      1,
 			MaxFetches:   400,
 			DistillEvery: 150,
-			// Barrier mode keeps the visit order a pure function of the
-			// checkout semantics this golden pins: concurrent distillation
-			// publishes its hub-neighbor boosts asynchronously, which would
-			// make the order depend on epoch timing.
-			DistillBarrier: true,
-			ClassifyBatch:  classifyBatch,
+			// Synchronous epochs keep the visit order a pure function of the
+			// checkout semantics this golden pins: asynchronous distillation
+			// publishes its hub-neighbor boosts whenever an epoch finishes,
+			// which would make the order depend on epoch timing.
+			DistillSync:   true,
+			ClassifyBatch: classifyBatch,
 		},
 	})
 	if err != nil {
@@ -141,5 +177,11 @@ func runGoldenHarvest(t *testing.T, classifyBatch int) {
 	}
 	if overall := total / float64(len(log)); math.Abs(overall-goldenOverall) > 0.01 {
 		t.Errorf("overall harvest %.6f, golden %.6f", overall, goldenOverall)
+	}
+
+	hubs, auth := scoreMaps(t, sys.Crawler)
+	if got := harvestDigest(log, hubs, auth); got != goldenDigest {
+		t.Errorf("full-run digest %s, golden %s (%d visits, %d hubs, %d auths): "+
+			"the harvest log or final scores drifted", got, goldenDigest, len(log), len(hubs), len(auth))
 	}
 }

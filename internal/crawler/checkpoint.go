@@ -14,12 +14,16 @@ package crawler
 //
 // Bit-identical resume is pinned under the same discipline as the
 // FrontierShards=1/LinkStripes=1 equivalences: Workers=1 (so the quiesce
-// point always falls between complete() tails, with nothing in flight) and
-// deterministic fetching. Multi-worker checkpoints are still crash-
-// consistent — no lost or duplicated visits — but rows checked out at the
-// quiesce point flip back to the frontier on resume and their fetch attempts
-// are re-spent, so counters and visit order may differ from the
-// uninterrupted run.
+// point always falls between complete() tails, with nothing in flight),
+// Config.DistillSync (so every hub-neighbor boost lands at the same visit
+// in both runs), and deterministic fetching. A checkpoint never captures a
+// distillation epoch in flight: it waits for the pipeline to go idle, and
+// gives up with the pipeline's error if an epoch failed (a failed epoch is
+// never published, so the pipeline could never go idle). Multi-worker
+// checkpoints are still crash-consistent — no lost or duplicated visits —
+// but rows checked out at the quiesce point flip back to the frontier on
+// resume and their fetch attempts are re-spent, so counters and visit
+// order may differ from the uninterrupted run.
 
 import (
 	"encoding/json"
@@ -115,13 +119,13 @@ type CheckpointState struct {
 }
 
 // Checkpoint quiesces the crawl at a distill-grade consistency point and
-// persists everything needed for Resume: it waits for the concurrent
-// distillation pipeline to drain (queued epochs live only in memory, so a
-// checkpoint must not capture a snapshotted-but-unpublished epoch), takes
-// the full barrier plus every DOCUMENT stripe lock, drains pendingFwd,
-// writes the CKPT state row, and drives relstore's durable checkpoint
-// (journal, flush, manifest, sync). Safe to call between Runs as well as
-// from the in-crawl trigger.
+// persists everything needed for Resume: it waits for the distillation
+// pipeline to drain (queued epochs live only in memory, so a checkpoint
+// must not capture a snapshotted-but-unpublished epoch) — or returns the
+// pipeline's error if an epoch failed — takes the full barrier plus every
+// DOCUMENT stripe lock, drains pendingFwd, writes the CKPT state row, and
+// drives relstore's durable checkpoint (journal, flush, manifest, sync).
+// Safe to call between Runs as well as from the in-crawl trigger.
 //
 //focuslint:lock sequence=stripe*,shard*,global,docstripe*
 func (c *Crawler) Checkpoint() error {
@@ -134,6 +138,11 @@ func (c *Crawler) Checkpoint() error {
 			break
 		}
 		c.unlockAll()
+		// A failed epoch is never published and the distiller skips the
+		// jobs queued after it, so the pipeline can never go idle.
+		if err := c.distillFailure(); err != nil {
+			return err
+		}
 		time.Sleep(200 * time.Microsecond)
 	}
 	for _, ds := range c.docs {
@@ -384,7 +393,6 @@ func Resume(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Confi
 	if c.links, err = linkgraph.Attach(db, cfg.LinkStripes); err != nil {
 		return nil, err
 	}
-	c.links.SetRouted(!cfg.UnroutedSweep)
 
 	bindScore := func(name string) (*relstore.Table, error) {
 		tb := db.Table(name)

@@ -95,15 +95,17 @@ type Config struct {
 	// Distill configures those runs (including Distill.Parallelism, the
 	// partition count of the parallel HITS join).
 	Distill distiller.Config
-	// DistillBarrier selects the legacy stop-the-world distillation: the
-	// whole HITS run executes under the full barrier and every worker
-	// stalls for its duration. The default (false) is the snapshot-and-go
-	// pipeline: the barrier shrinks to a short copy phase and the
-	// distillation runs on a background goroutine against the immutable
-	// snapshot, publishing HUBS/AUTH with an atomic buffer swap. Barrier
-	// mode exists for A/B stall measurement and for tests that need the
-	// crawl's visit order to be independent of distillation timing.
-	DistillBarrier bool
+	// DistillSync makes each distillation epoch synchronous with the visit
+	// that triggers it. Distillation always runs as the snapshot-and-go
+	// pipeline: a short world-stopped phase snapshots the crawl graph, and
+	// the distiller goroutine computes HITS against the immutable snapshot,
+	// publishes HUBS/AUTH with an atomic buffer swap, and applies the §3.4
+	// hub-neighbor boost. By default (false) the triggering worker resumes
+	// as soon as its snapshot is queued. With DistillSync it waits until
+	// its epoch is published and boosted, so at Workers=1 the visit order
+	// is a pure function of the checkout semantics, independent of epoch
+	// timing — what the harvest and resume goldens need.
+	DistillSync bool
 	// HubNeighborBoost is the relevance assigned to unvisited pages cited
 	// by top-decile hubs after each distillation (default 0.75; 0 keeps the
 	// default, negative disables boosting).
@@ -136,11 +138,6 @@ type Config struct {
 	// SkipDocuments disables populating the DOCUMENT relation (saves space
 	// when the corpus will not be re-classified in bulk).
 	SkipDocuments bool
-	// UnroutedSweep disables dst-routing of the incoming-weight sweep, so
-	// every visit locks and probes every LINK stripe's bydst index (the
-	// pre-registry behavior). Measurement-only: eval.RunSweepScaling uses it
-	// for the routed-vs-unrouted A/B; results are identical either way.
-	UnroutedSweep bool
 	// CheckpointEvery persists a durable checkpoint after every k page
 	// visits (0 disables), piggybacked on the distillation snapshot point:
 	// the same quiesce (pendingFwd drained, consistent cross-shard and
@@ -220,14 +217,13 @@ type Result struct {
 	// (Config.CheckpointEvery).
 	Checkpoints int64
 	Elapsed     time.Duration
-	// DistillStall is the total time crawl workers spent stopped for
-	// distillation — the time the world-stopped phase was held. In
-	// barrier mode the whole HITS run happens inside it; in concurrent
-	// mode only the snapshot copy does.
+	// DistillStall is the total time triggering workers spent stopped for
+	// distillation: the world-stopped snapshot phase and, under
+	// Config.DistillSync, the wait for their epoch's compute, publish and
+	// boost.
 	DistillStall time.Duration
-	// DistillCompute is the total time spent computing HITS epochs
-	// (inside the barrier in barrier mode, on the background goroutine in
-	// concurrent mode).
+	// DistillCompute is the total time the distiller goroutine spent on
+	// epochs: the HITS computation, the publish, and the boost.
 	DistillCompute time.Duration
 
 	// Failure breakdown. Failed counts failed fetch *attempts*; the three
@@ -274,7 +270,7 @@ type Result struct {
 // are therefore an exact function of the visit sequence even when epochs
 // compute slowly; monitors read scores that may lag the crawl by the
 // epochs still queued (typically one — see DistillEpochs).
-// Config.DistillBarrier restores the legacy whole-run-under-barrier mode.
+// Config.DistillSync makes the triggering worker wait for its epoch.
 //
 // Lock ordering, from the bottom of the tower up: link stripe mutexes
 // (ascending id) < frontier shard mutex (at most one, except under the
@@ -322,11 +318,12 @@ type Crawler struct {
 	// the barrier and appended to distillJobs (guarded by mu, so queue
 	// order is epoch order by construction); a single distiller goroutine
 	// (distillLoop, started by Run) pops and computes them in order, woken
-	// through the distillKick semaphore. Workers never wait for an epoch
-	// to compute — the queue is unbounded, sized in practice by
-	// budget/DistillEvery. snapEpoch counts snapshots taken, pubEpoch the
-	// latest published epoch; the gap is the epochs still queued or
-	// computing — the stale-score window monitors may observe.
+	// through the distillKick semaphore. Unless Config.DistillSync is set,
+	// workers never wait for an epoch to compute — the queue is unbounded,
+	// sized in practice by budget/DistillEvery. snapEpoch counts snapshots
+	// taken, pubEpoch the latest published epoch; the gap is the epochs
+	// still queued or computing — the stale-score window monitors may
+	// observe.
 	distillJobs []distillJob
 	distillKick chan struct{}
 	snapEpoch   atomic.Int64
@@ -423,7 +420,6 @@ func New(db *relstore.DB, model *classifier.Model, fetcher Fetcher, cfg Config) 
 	if c.links, err = linkgraph.New(db, c.cfg.LinkStripes); err != nil {
 		return nil, err
 	}
-	c.links.SetRouted(!c.cfg.UnroutedSweep)
 	// HUBS and AUTH are double-buffered: the published pair is what
 	// monitors read; the spare pair is the scratch space the next
 	// distillation epoch builds into before the swap publishes it. Roles
@@ -628,7 +624,7 @@ func (c *Crawler) Run() (Result, error) {
 	start := time.Now()
 	var distWG sync.WaitGroup
 	distStop := make(chan struct{})
-	if c.cfg.DistillEvery > 0 && !c.cfg.DistillBarrier {
+	if c.cfg.DistillEvery > 0 {
 		distWG.Add(1)
 		go func() {
 			defer distWG.Done()
@@ -685,11 +681,8 @@ func (c *Crawler) Run() (Result, error) {
 	if cerr != nil {
 		return Result{}, cerr
 	}
-	c.distillMu.Lock()
-	derr := c.distillErr
-	c.distillMu.Unlock()
-	if derr != nil {
-		return Result{}, derr
+	if err := c.distillFailure(); err != nil {
+		return Result{}, err
 	}
 	c.mu.Lock()
 	distills := c.distills
@@ -823,18 +816,14 @@ func (c *Crawler) worker(w int) error {
 // selection and finally falls back to probing every shard from the
 // worker's home offset.
 //
-// With politeness on, each shard pop goes through checkoutPolite, which
-// skips ineligible rows; the returned wake time is the earliest moment any
-// skipped row becomes eligible (zero when nothing is waiting on the
-// clock), so an empty-handed caller can wait honestly instead of declaring
-// stagnation.
+// With politeness on, a shard pop skips ineligible rows; the returned wake
+// time is the earliest moment any skipped row becomes eligible (zero when
+// nothing is waiting on the clock), so an empty-handed caller can wait
+// honestly instead of declaring stagnation.
 func (c *Crawler) checkout(home int) (*shard, relstore.RID, relstore.Tuple, bool, time.Time, error) {
 	var wake time.Time
 	pop := func(sh *shard) (relstore.RID, relstore.Tuple, bool, error) {
-		if !c.politeOn {
-			return sh.checkout(c.checkoutHook, &c.inflight)
-		}
-		rid, row, ok, w, err := sh.checkoutPolite(c, c.checkoutHook, &c.inflight)
+		rid, row, ok, w, err := sh.checkout(c)
 		noteWake(&wake, w)
 		return rid, row, ok, err
 	}
@@ -1124,125 +1113,73 @@ func (c *Crawler) enqueueTarget(e linkgraph.Edge, dstURL string, srcRel float64)
 	return nil
 }
 
-// distill runs one distillation cycle: the legacy stop-the-world barrier
-// when Config.DistillBarrier is set, the snapshot-and-go pipeline
-// otherwise. Callers hold no locks.
+// distill runs one distillation cycle of the snapshot-and-go pipeline: the
+// barrier shrinks to a copy phase — drain pendingFwd, snapshot the LINK
+// stripes, copy the oid→relevance view — the epoch is queued for the
+// distiller goroutine, and the worker resumes crawling immediately, or,
+// under Config.DistillSync, once its epoch is published and boosted. Only
+// the time the worker is stopped is charged to Result.DistillStall.
+// Callers hold no locks.
 func (c *Crawler) distill() error {
-	if c.cfg.DistillBarrier {
-		return c.distillBarrier()
-	}
-	return c.distillConcurrent()
-}
-
-// distillBarrier stops the world (all stripe locks, then all shard locks,
-// then the global lock), runs the join-based distiller over a consistent
-// cross-shard snapshot of the crawl graph, and then raises the priority of
-// unvisited pages cited by top-decile hubs — the monitoring workflow shown
-// at the end of §3.7. The snapshot is an in-memory oid -> relevance view
-// handed to the distiller's rho filter, not a materialized table (which
-// would abandon O(|CRAWL|) pages on every distill cycle); the link graph is
-// read through its barrier-locked view, so no copy of LINK is made either.
-// Every worker stalls for the whole HITS run — the cost the concurrent
-// pipeline removes, kept measurable through Result.DistillStall.
-func (c *Crawler) distillBarrier() error {
 	t0 := time.Now()
-	c.lockAll()
-	defer func() {
-		c.unlockAll()
-		c.stallNS.Add(time.Since(t0).Nanoseconds())
-	}()
-	c.distills++
-	rel, err := c.drainAndRelevanceLocked()
-	if err != nil {
-		return err
-	}
-	dcfg := c.cfg.Distill
-	dcfg.Relevance = rel
-	tb := distiller.Tables{Link: c.links.LockedView(), Hubs: c.hubs, Auth: c.auth}
-	tc := time.Now()
-	if _, err := distiller.RunJoin(c.db, tb, dcfg); err != nil {
-		return err
-	}
-	c.computeNS.Add(time.Since(tc).Nanoseconds())
-	e := c.snapEpoch.Add(1)
-	c.pubEpoch.Store(e)
-	// The boost-target derivation is the same boostDelta the concurrent
-	// pipeline uses, read through the barrier-locked link view — one
-	// predicate, two modes, no drift. The barrier holds every lock, so
-	// targets apply directly.
-	boosts, err := c.boostDelta(c.hubs, c.links.LockedView())
-	if err != nil {
-		return err
-	}
-	for _, d := range boosts {
-		if err := c.shardFor(d.sid).boostLocked(d.oid, c.cfg.HubNeighborBoost); err != nil {
-			return err
+	done, err := c.distillSnapshot()
+	if err == nil {
+		// Wake the distiller (semaphore of one: a pending kick already
+		// covers this job, since the loop drains the whole queue per kick).
+		select {
+		case c.distillKick <- struct{}{}:
+		default:
+		}
+		if done != nil {
+			err = <-done
 		}
 	}
-	return nil
+	c.stallNS.Add(time.Since(t0).Nanoseconds())
+	return err
 }
 
-// distillJob is one snapshotted epoch awaiting computation.
+// distillJob is one snapshotted epoch awaiting computation. done, set only
+// under Config.DistillSync, receives the epoch's outcome once it is
+// published and boosted (or skipped after an earlier failure).
 type distillJob struct {
 	epoch int64
 	snap  *linkgraph.Snapshot
 	rel   map[int64]float64
-}
-
-// distillConcurrent is the snapshot-and-go pipeline's producer side: the
-// barrier shrinks to a copy phase — drain pendingFwd, snapshot the LINK
-// stripes, copy the oid→relevance view — the epoch is queued for the
-// distiller goroutine, and the worker resumes crawling immediately. The
-// snapshot is appended to the job queue *inside* the barrier (the queue is
-// guarded by the global mutex), so queue order always equals epoch order
-// even when triggers race. Only the copy phase is charged to
-// Result.DistillStall — workers never wait for an epoch to compute.
-func (c *Crawler) distillConcurrent() error {
-	t0 := time.Now()
-	err := c.distillSnapshot()
-	c.stallNS.Add(time.Since(t0).Nanoseconds())
-	if err != nil {
-		return err
-	}
-	// Wake the distiller (semaphore of one: a pending kick already covers
-	// this job, since the loop drains the whole queue per kick).
-	select {
-	case c.distillKick <- struct{}{}:
-	default:
-	}
-	return nil
+	done  chan error
 }
 
 // distillSnapshot is the short world-stopped phase: under the full barrier
-// it drains pending incoming-weight sweeps (same guarantee as the legacy
-// barrier — no stale radius-1 weight on an edge into a visited page),
-// copies every LINK stripe and the cross-shard relevance view, and queues
-// the epoch.
-func (c *Crawler) distillSnapshot() error {
+// it drains pending incoming-weight sweeps, snapshots every LINK stripe and
+// the cross-shard relevance view, and queues the epoch. The job is appended
+// *inside* the barrier (the queue is guarded by the global mutex), so queue
+// order always equals epoch order even when triggers race. It returns the
+// job's done channel (nil unless DistillSync).
+func (c *Crawler) distillSnapshot() (chan error, error) {
 	c.lockAll()
 	defer c.unlockAll()
 	c.distills++
 	rel, err := c.drainAndRelevanceLocked()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	snap, err := c.links.SnapshotLocked()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.distillJobs = append(c.distillJobs, distillJob{epoch: c.snapEpoch.Add(1), snap: snap, rel: rel})
-	return nil
+	job := distillJob{epoch: c.snapEpoch.Add(1), snap: snap, rel: rel}
+	if c.cfg.DistillSync {
+		job.done = make(chan error, 1)
+	}
+	c.distillJobs = append(c.distillJobs, job)
+	return job.done, nil
 }
 
-// drainAndRelevanceLocked is the part of the world-stopped phase both
-// distillation modes share — extracting it keeps their semantics pinned
-// to each other (the concurrent golden depends on that). It drains
-// incoming-weight sweeps still in flight — a worker past its visit
-// persist but short of its UpdateIncomingFwd holds no locks, so the
-// barrier applies the sweep itself (idempotent: the worker's own sweep
-// writes the same value) and the distiller never sees a stale radius-1
-// weight on an edge into a visited page — and then copies the cross-shard
-// oid -> relevance view. The barrier must be held.
+// drainAndRelevanceLocked drains incoming-weight sweeps still in flight —
+// a worker past its visit persist but short of its UpdateIncomingFwd holds
+// no locks, so the barrier applies the sweep itself (idempotent: the
+// worker's own sweep writes the same value) and the distiller never sees a
+// stale radius-1 weight on an edge into a visited page — and then copies
+// the cross-shard oid -> relevance view. The barrier must be held.
 //
 //focuslint:lock requires=stripe*,shard*,global
 func (c *Crawler) drainAndRelevanceLocked() (map[int64]float64, error) {
@@ -1292,21 +1229,28 @@ func (c *Crawler) drainDistillJobs() {
 		c.distillJobs[0] = distillJob{}
 		c.distillJobs = c.distillJobs[1:]
 		c.mu.Unlock()
-		c.distillMu.Lock()
-		failed := c.distillErr != nil
-		c.distillMu.Unlock()
-		if failed {
-			continue
-		}
-		if err := c.distillEpoch(job); err != nil {
-			c.distillMu.Lock()
-			if c.distillErr == nil {
-				c.distillErr = err
+		err := c.distillFailure()
+		if err == nil {
+			if err = c.distillEpoch(job); err != nil {
+				c.distillMu.Lock()
+				if c.distillErr == nil {
+					c.distillErr = err
+				}
+				c.distillMu.Unlock()
+				c.stop.Store(true)
 			}
-			c.distillMu.Unlock()
-			c.stop.Store(true)
+		}
+		if job.done != nil {
+			job.done <- err
 		}
 	}
+}
+
+// distillFailure returns the first failed epoch's error, if any.
+func (c *Crawler) distillFailure() error {
+	c.distillMu.Lock()
+	defer c.distillMu.Unlock()
+	return c.distillErr
 }
 
 // distillEpoch computes one HITS epoch off to the side and publishes it.
@@ -1344,7 +1288,7 @@ func (c *Crawler) distillEpoch(job distillJob) error {
 	c.mu.Unlock()
 
 	// Apply the boost delta against the live shards, one shard lock at a
-	// time — the policy update that used to run inside the barrier.
+	// time.
 	for _, d := range boosts {
 		sh := c.shardFor(d.sid)
 		sh.mu.Lock()
@@ -1364,10 +1308,8 @@ type boostTarget struct {
 }
 
 // topDecileHubs returns the oids of hubs scoring strictly above the 90th
-// percentile of the given score table, in scan order. Both distillation
-// modes route their §3.4 hub selection through here, so the boost
-// semantics cannot drift between them. Returns nil when the table is
-// empty or every score is zero.
+// percentile of the given score table, in scan order — the §3.4 hub
+// selection. Returns nil when the table is empty or every score is zero.
 func topDecileHubs(hubs *relstore.Table) ([]int64, error) {
 	psi, ok, err := distiller.Percentile(hubs, 0.9)
 	if err != nil || !ok || psi == 0 {
@@ -1383,10 +1325,9 @@ func topDecileHubs(hubs *relstore.Table) ([]int64, error) {
 	return tops, err
 }
 
-// boostDelta derives the §3.4 policy update from a hubs score table and a
-// link view (the epoch's immutable snapshot in concurrent mode, the
-// barrier-locked store in barrier mode): the cross-server targets of
-// every hub above the 90th score percentile. The target *set* is what
+// boostDelta derives the §3.4 policy update from a hubs score table and the
+// epoch's immutable link snapshot: the cross-server targets of every hub
+// above the 90th score percentile. The target *set* is what
 // matters — boosts are idempotent threshold raises, so application order
 // is irrelevant.
 func (c *Crawler) boostDelta(hubs *relstore.Table, links distiller.LinkRel) ([]boostTarget, error) {
@@ -1417,8 +1358,8 @@ func (c *Crawler) boostDelta(hubs *relstore.Table, links distiller.LinkRel) ([]b
 // tables monitors currently read. published trails snapshotted by the
 // epochs still queued or computing in the background (typically one, more
 // only when epochs are snapshotted faster than they compute); they are
-// equal when the pipeline is idle — always in barrier mode, and always by
-// the time Run returns. Monitors that need scores no older than a given
+// equal when the pipeline is idle — between visits under DistillSync at
+// Workers=1, and always by the time Run returns. Monitors that need scores no older than a given
 // point can poll published.
 func (c *Crawler) DistillEpochs() (snapshotted, published int64) {
 	return c.snapEpoch.Load(), c.pubEpoch.Load()

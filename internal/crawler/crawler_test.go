@@ -15,6 +15,13 @@ import (
 // tinyModel trains a two-topic classifier (alpha vs beta) good on alpha.
 func tinyModel(t *testing.T) (*relstore.DB, *classifier.Model) {
 	t.Helper()
+	db := relstore.Open(relstore.Options{Frames: 512})
+	return db, tinyModelOn(t, db)
+}
+
+// tinyModelOn trains tinyModel's classifier in the given database.
+func tinyModelOn(t *testing.T, db *relstore.DB) *classifier.Model {
+	t.Helper()
 	tree := taxonomy.New()
 	alpha := tree.MustAdd(tree.Root, "alpha")
 	beta := tree.MustAdd(tree.Root, "beta")
@@ -25,7 +32,6 @@ func tinyModel(t *testing.T) (*relstore.DB, *classifier.Model) {
 		ex[beta.ID] = append(ex[beta.ID], strings.Fields(fmt.Sprintf(
 			"beta beta betaone betatwo betavar%d common filler", i%4)))
 	}
-	db := relstore.Open(relstore.Options{Frames: 512})
 	m, err := classifier.Train(db, tree, ex, classifier.TrainConfig{FeaturesPerNode: 60, MinDocFreq: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +39,7 @@ func tinyModel(t *testing.T) (*relstore.DB, *classifier.Model) {
 	if err := tree.MarkGood(alpha.ID); err != nil {
 		t.Fatal(err)
 	}
-	return db, m
+	return m
 }
 
 // stubFetcher serves a hand-built site map; URLs absent from pages 404, and

@@ -340,12 +340,12 @@ func TestRunCoreScalingShape(t *testing.T) {
 }
 
 func TestRunPoolScalingShardedBeatsSingle(t *testing.T) {
-	// The pool-sharding acceptance number: on the disk-resident workload
-	// (8 workers, small pool, simulated read latency) the sharded pool's
-	// off-latch miss I/O must buy at least 1.3x the serial pool's
-	// pages/sec at equal total frames. Observed gain is ~8-16x (the serial
-	// pool holds its latch across every miss's read, so misses that could
-	// overlap serialize), so the floor has wide headroom.
+	// The pool-sharding study's shape on the disk-resident workload (8
+	// workers, small pool, simulated read latency): both grid points crawl,
+	// read real pages, and report gains against the one-shard point. Every
+	// shard count does its miss I/O off the latch, so the one-shard point is
+	// no longer a serial-miss baseline and no throughput floor is asserted:
+	// what splitting the latch buys depends on the host's core count.
 	r, err := RunPoolScaling(PoolScalingConfig{
 		Web:       webgraph.Config{Seed: 41},
 		Budget:    250,
@@ -362,8 +362,8 @@ func TestRunPoolScalingShardedBeatsSingle(t *testing.T) {
 	if !ok1 || !ok8 {
 		t.Fatalf("missing grid points: %+v", r.Points)
 	}
-	t.Logf("serial: %+v", p1.Crawl)
-	t.Logf("sharded: %+v (gain %.2fx, probe gain %.2fx)", p8.Crawl, p8.CrawlGain, p8.ProbeGain)
+	t.Logf("1 shard: %+v", p1.Crawl)
+	t.Logf("8 shards: %+v (gain %.2fx, probe gain %.2fx)", p8.Crawl, p8.CrawlGain, p8.ProbeGain)
 	if p1.Crawl.Visited == 0 || p8.Crawl.Visited == 0 {
 		t.Fatal("a crawl visited nothing")
 	}
@@ -372,6 +372,9 @@ func TestRunPoolScalingShardedBeatsSingle(t *testing.T) {
 	}
 	if p1.CrawlGain != 1 || p1.ProbeGain != 1 {
 		t.Fatalf("baseline gain not 1: %+v", p1)
+	}
+	if p8.CrawlGain <= 0 || p8.ProbeGain <= 0 {
+		t.Fatalf("8-shard gains not computed: %+v", p8)
 	}
 	var buf bytes.Buffer
 	r.Render(&buf)
@@ -384,19 +387,5 @@ func TestRunPoolScalingShardedBeatsSingle(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "\"crawl_gain\"") {
 		t.Fatal("json artifact broken")
-	}
-	if raceEnabled {
-		// The gain is a real-time measurement of overlapped sleeps; keep
-		// the shape checks but skip the throughput floor under the
-		// detector's slowdown.
-		t.Skip("pool-scaling timing floor not asserted under -race")
-	}
-	if p8.CrawlGain < 1.3 {
-		t.Fatalf("sharded crawl gain %.2fx below the 1.3x floor (serial %.1f, sharded %.1f pages/sec)",
-			p8.CrawlGain, p1.Crawl.PagesPerSec, p8.Crawl.PagesPerSec)
-	}
-	if p8.ProbeGain < 1.3 {
-		t.Fatalf("sharded probe gain %.2fx below the 1.3x floor (serial %.0f, sharded %.0f probes/sec)",
-			p8.ProbeGain, p1.Probe.ProbesPerSec, p8.Probe.ProbesPerSec)
 	}
 }

@@ -522,9 +522,6 @@ type CrawlScalingConfig struct {
 	LinkStripes int
 	// DistillEvery exercises distillation under load (0 disables it).
 	DistillEvery int64
-	// DistillBarrier selects the legacy stop-the-world distillation for
-	// every point (default: the concurrent snapshot-and-go pipeline).
-	DistillBarrier bool
 	// DistillParallelism sets the distiller's join partition count.
 	DistillParallelism int
 }
@@ -606,7 +603,6 @@ func RunCrawlScaling(cfg CrawlScalingConfig) (*CrawlScalingResult, error) {
 				LinkStripes:    cfg.LinkStripes,
 				MaxFetches:     cfg.Budget,
 				DistillEvery:   cfg.DistillEvery,
-				DistillBarrier: cfg.DistillBarrier,
 				Distill:        distiller.Config{Parallelism: cfg.DistillParallelism},
 				SkipDocuments:  true,
 			},
@@ -665,10 +661,12 @@ func (r *CrawlScalingResult) Render(w io.Writer) {
 }
 
 // DistillStallConfig drives the crawl-while-distilling study: the same
-// focused crawl over a link-heavy web, run once with the legacy
-// stop-the-world distillation barrier and once with the concurrent
-// snapshot-and-go pipeline, comparing how long crawl workers stall for
-// distillation and what that does to end-to-end throughput.
+// focused crawl over a link-heavy web, run once with synchronous epochs
+// (Config.DistillSync: each triggering worker waits for its epoch's
+// compute, publish and boost) and once with the default asynchronous
+// pipeline (workers resume as soon as the snapshot is queued), comparing
+// how long crawl workers stall for distillation and what that does to
+// end-to-end throughput.
 type DistillStallConfig struct {
 	Web          webgraph.Config
 	Topic        string
@@ -706,8 +704,8 @@ func (c DistillStallConfig) withDefaults() DistillStallConfig {
 		// A 1999 web fetch took tens of milliseconds on a good day; with
 		// realistic latency the crawl has idle network time for the
 		// background epochs to hide in, which is exactly the regime the
-		// snapshot-and-go pipeline targets (under the barrier, stopped
-		// workers can't even keep fetches in flight).
+		// asynchronous pipeline targets (a worker waiting on its epoch
+		// can't even keep its fetch in flight).
 		c.Web.FetchLatency = 20 * time.Millisecond
 	} else if c.Web.FetchLatency < 0 {
 		c.Web.FetchLatency = 0 // explicit zero: instantaneous fetches
@@ -728,10 +726,10 @@ type DistillStallPoint struct {
 
 // DistillStallResult carries both modes plus the headline ratio.
 type DistillStallResult struct {
-	Barrier    DistillStallPoint
+	Sync       DistillStallPoint
 	Concurrent DistillStallPoint
-	// StallRatio is barrier stall / concurrent stall — how much worker
-	// stall the snapshot-and-go pipeline removes (target: >= 5x).
+	// StallRatio is sync stall / concurrent stall — how much worker stall
+	// not waiting for epochs removes.
 	StallRatio float64
 }
 
@@ -743,7 +741,7 @@ func RunDistillStall(cfg DistillStallConfig) (*DistillStallResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(barrier bool) (DistillStallPoint, error) {
+	run := func(syncEpochs bool) (DistillStallPoint, error) {
 		web.ResetFetches()
 		tree := web.Cfg.Tree
 		if n := tree.ByName(cfg.Topic); n != nil {
@@ -752,12 +750,12 @@ func RunDistillStall(cfg DistillStallConfig) (*DistillStallResult, error) {
 		sys, err := core.NewSystemOnWeb(web, core.Config{
 			GoodTopics: []string{cfg.Topic},
 			Crawl: crawler.Config{
-				Workers:        cfg.Workers,
-				MaxFetches:     cfg.Budget,
-				DistillEvery:   cfg.DistillEvery,
-				DistillBarrier: barrier,
-				Distill:        distiller.Config{Parallelism: cfg.Parallelism},
-				SkipDocuments:  true,
+				Workers:       cfg.Workers,
+				MaxFetches:    cfg.Budget,
+				DistillEvery:  cfg.DistillEvery,
+				DistillSync:   syncEpochs,
+				Distill:       distiller.Config{Parallelism: cfg.Parallelism},
+				SkipDocuments: true,
 			},
 		})
 		if err != nil {
@@ -778,8 +776,8 @@ func RunDistillStall(cfg DistillStallConfig) (*DistillStallResult, error) {
 			Compute:  res.DistillCompute,
 			Elapsed:  res.Elapsed,
 		}
-		if barrier {
-			p.Mode = "barrier"
+		if syncEpochs {
+			p.Mode = "sync"
 		}
 		if res.Elapsed > 0 {
 			p.PagesPerSec = float64(res.Visited) / res.Elapsed.Seconds()
@@ -787,24 +785,24 @@ func RunDistillStall(cfg DistillStallConfig) (*DistillStallResult, error) {
 		return p, nil
 	}
 	out := &DistillStallResult{}
-	if out.Barrier, err = run(true); err != nil {
+	if out.Sync, err = run(true); err != nil {
 		return nil, err
 	}
 	if out.Concurrent, err = run(false); err != nil {
 		return nil, err
 	}
 	if out.Concurrent.Stall > 0 {
-		out.StallRatio = float64(out.Barrier.Stall) / float64(out.Concurrent.Stall)
+		out.StallRatio = float64(out.Sync.Stall) / float64(out.Concurrent.Stall)
 	}
 	return out, nil
 }
 
 // Render prints the stall comparison.
 func (r *DistillStallResult) Render(w io.Writer) {
-	fmt.Fprintf(w, "Distillation worker stall: barrier vs snapshot-and-go\n")
+	fmt.Fprintf(w, "Distillation worker stall: synchronous vs asynchronous epochs\n")
 	fmt.Fprintf(w, "%-12s %8s %9s %12s %12s %10s %12s\n",
 		"mode", "visited", "distills", "stall", "compute", "elapsed", "pages/sec")
-	for _, p := range []DistillStallPoint{r.Barrier, r.Concurrent} {
+	for _, p := range []DistillStallPoint{r.Sync, r.Concurrent} {
 		fmt.Fprintf(w, "%-12s %8d %9d %12s %12s %10s %12.1f\n",
 			p.Mode, p.Visited, p.Distills, rnd(p.Stall), rnd(p.Compute),
 			rnd(p.Elapsed), p.PagesPerSec)

@@ -23,11 +23,10 @@ import (
 // at several pool shard counts and pool sizes, plus a cold-B+tree-probe
 // microbench over the same grid. The paper's Figure 8(b) sweeps pool size
 // because page traffic governs throughput in the disk-resident regime;
-// this study measures what the pool's own concurrency costs there. With
-// one shard the pool keeps the seed engine's discipline — the latch is
-// held across every miss's disk read, so one slow read stalls every
-// worker's access to every table — while sharded pools (Shards > 1) do
-// miss I/O off the latch, so independent misses overlap.
+// this study measures what the pool's own concurrency costs there. Every
+// shard count does its miss I/O off the latch, so independent misses
+// overlap even in one shard; more shards split the latch that hits and
+// victim selection take.
 type PoolScalingConfig struct {
 	Web     webgraph.Config
 	Topic   string

@@ -16,9 +16,10 @@ import (
 )
 
 // RecoveryConfig drives the checkpoint/recovery study: the golden-style
-// deterministic crawl (Workers=1, distill barrier) run durably with periodic
-// checkpoints, killed at randomized points, recovered, and resumed — plus a
-// checkpoint-overhead measurement on the multi-worker crawl. Two claims are
+// deterministic crawl (Workers=1, synchronous distill epochs) run durably
+// with periodic checkpoints, killed at randomized points, recovered, and
+// resumed — plus a checkpoint-overhead measurement on the multi-worker
+// crawl. Two claims are
 // quantified: (1) a kill-and-resume crawl ends bit-identical to the
 // uninterrupted run (harvest sequence and hub/authority scores), and
 // (2) checkpointing costs at most a modest throughput fraction.
@@ -117,8 +118,8 @@ type RecoveryResult struct {
 	OverheadFrac float64               `json:"overhead_frac"`
 }
 
-// RunRecovery runs the study. The equivalence trials use the Workers=1
-// barrier discipline under which resume is pinned bit-identical (the same
+// RunRecovery runs the study. The equivalence trials use the Workers=1,
+// synchronous-epoch discipline under which resume is pinned bit-identical (the same
 // discipline the FrontierShards=1 golden equivalences use); the overhead
 // legs use the ordinary multi-worker crawl, where checkpoints are
 // crash-consistent but the interesting number is their cost.
@@ -137,7 +138,7 @@ func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 				Workers:         1,
 				MaxFetches:      budget,
 				DistillEvery:    150,
-				DistillBarrier:  true,
+				DistillSync:     true,
 				CheckpointEvery: every,
 			},
 		}
@@ -228,7 +229,7 @@ func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 		defer os.Remove(path)
 		c := mkcfg(path, cfg.OverheadBudget, every)
 		c.Crawl.Workers = cfg.OverheadWorkers
-		c.Crawl.DistillBarrier = false
+		c.Crawl.DistillSync = false
 		c.Crawl.DistillEvery = 300
 		sys, err := core.NewSystem(c)
 		if err != nil {

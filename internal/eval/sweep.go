@@ -16,22 +16,20 @@ import (
 )
 
 // SweepScalingConfig drives the incoming-weight sweep study: the same
-// link-heavy focused crawl run at several LINK stripe counts, once with the
-// dst-routed sweep (the default) and once with the legacy
-// probe-every-stripe sweep, at a fixed worker count. Before routing, the
-// per-visit UpdateIncomingFwd locked and descended every stripe's bydst
-// index, so the one remaining per-visit O(stripes) operation taxed exactly
-// the striping that exists for parallelism; the study shows the routed
-// sweep's cost flat in stripe count.
+// link-heavy focused crawl run at several LINK stripe counts at a fixed
+// worker count. The per-visit UpdateIncomingFwd is dst-routed — it locks
+// and descends only the stripes holding edges into the visited page — so
+// its cost should stay flat in stripe count, the striping that exists for
+// parallelism; the study shows whether it does.
 //
 // The study runs in the paper's disk-resident regime, like the Figure 8
 // experiments: a buffer pool sized well below the crawl's working set plus
 // simulated per-page-I/O latency, the setting the 1999 system actually
 // lived in (its crawl graphs exceeded the memory shared with classifier
-// and distiller). That is where the unrouted sweep hurts most — every
-// visit drags every stripe's bydst pages through the pool whether or not
-// the stripe holds an edge into the page — and where the routed sweep's
-// saved descents translate into saved page reads, not just saved memcpys.
+// and distiller). That is where a sweep probing edge-free stripes would
+// hurt most — every such probe drags a stripe's bydst pages through the
+// pool — so saved descents show up as saved page reads, not just saved
+// memcpys.
 type SweepScalingConfig struct {
 	Web     webgraph.Config
 	Topic   string
@@ -47,11 +45,11 @@ type SweepScalingConfig struct {
 	// DiskLatency is the simulated per-page-I/O delay (default 5µs). The
 	// wall cost of a miss is dominated by sleep granularity rather than
 	// the configured value, so treat absolute pages/sec as
-	// regime-relative; the routed/unrouted ratio and the I/O counts are
-	// the meaningful outputs.
+	// regime-relative; the trend across stripe counts, the probes per
+	// sweep and the I/O counts are the meaningful outputs.
 	DiskLatency time.Duration
 	// DBPath, when set, backs each run's crawl relations with a real
-	// durable file (one per leg, "<DBPath>.s<stripes>.<mode>", removed
+	// durable file (one per leg, "<DBPath>.s<stripes>", removed
 	// after measurement) instead of the latency-simulated memory disk:
 	// page I/O is then genuine file I/O. Durable legs run the no-steal
 	// pool, so Frames is clamped up to 2048 and the crawl checkpoints
@@ -102,9 +100,9 @@ func (c SweepScalingConfig) withDefaults() SweepScalingConfig {
 	return c
 }
 
-// SweepRunStats is one crawl's measurement at a fixed stripe count and
-// sweep mode.
-type SweepRunStats struct {
+// SweepScalingPoint is one crawl's measurement at a fixed stripe count.
+type SweepScalingPoint struct {
+	Stripes     int           `json:"stripes"`
 	Visited     int64         `json:"visited"`
 	Elapsed     time.Duration `json:"elapsed_ns"`
 	PagesPerSec float64       `json:"pages_per_sec"`
@@ -113,23 +111,12 @@ type SweepRunStats struct {
 	Sweeps         int64   `json:"sweeps"`
 	StripeProbes   int64   `json:"stripe_probes"`
 	ProbesPerSweep float64 `json:"probes_per_sweep"`
-	// DiskReads counts page reads during the crawl — the I/O the unrouted
-	// sweep's pointless descents add. DiskWrites counts page writes; on
+	// DiskReads counts page reads during the crawl. DiskWrites counts page
+	// writes; on
 	// the memory disk those are pool write-backs, on a DBPath file they
 	// are checkpoint flushes plus write-backs.
 	DiskReads  int64 `json:"disk_reads"`
 	DiskWrites int64 `json:"disk_writes"`
-}
-
-// SweepScalingPoint pairs the routed and unrouted measurements at one
-// stripe count.
-type SweepScalingPoint struct {
-	Stripes  int           `json:"stripes"`
-	Routed   SweepRunStats `json:"routed"`
-	Unrouted SweepRunStats `json:"unrouted"`
-	// RoutedGain is routed pages/sec over unrouted pages/sec — how much
-	// end-to-end throughput dst-routing buys at this stripe count.
-	RoutedGain float64 `json:"routed_gain"`
 }
 
 // SweepScalingResult carries the study.
@@ -140,8 +127,7 @@ type SweepScalingResult struct {
 }
 
 // RunSweepScaling measures focused-crawl throughput, sweep probe counts,
-// and page reads as the LINK stripe count grows, routed vs unrouted, one
-// fresh system per run over the same synthetic web. The system is composed
+// and page reads as the LINK stripe count grows, one fresh system per run over the same synthetic web. The system is composed
 // by hand (as RunDistillerPerf does) so the buffer pool and disk latency
 // are under the study's control; latency applies to the crawl only, not to
 // web generation or classifier training.
@@ -151,16 +137,16 @@ func RunSweepScaling(cfg SweepScalingConfig) (*SweepScalingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(stripes int, unrouted bool) (SweepRunStats, error) {
+	run := func(stripes int) (SweepScalingPoint, error) {
 		web.ResetFetches()
 		tree := web.Cfg.Tree
 		node := tree.ByName(cfg.Topic)
 		if node == nil {
-			return SweepRunStats{}, fmt.Errorf("eval: unknown topic %q", cfg.Topic)
+			return SweepScalingPoint{}, fmt.Errorf("eval: unknown topic %q", cfg.Topic)
 		}
 		if tree.Mark(node.ID) != taxonomy.MarkGood {
 			if err := tree.MarkGood(node.ID); err != nil {
-				return SweepRunStats{}, err
+				return SweepScalingPoint{}, err
 			}
 		}
 		ccfg := crawler.Config{
@@ -168,23 +154,18 @@ func RunSweepScaling(cfg SweepScalingConfig) (*SweepScalingResult, error) {
 			LinkStripes:   stripes,
 			MaxFetches:    cfg.Budget,
 			SkipDocuments: true,
-			UnroutedSweep: unrouted,
 		}
 		var db, trainDB *relstore.DB
 		var mem *relstore.MemDisk
 		if cfg.DBPath != "" {
-			mode := "routed"
-			if unrouted {
-				mode = "unrouted"
-			}
-			path := fmt.Sprintf("%s.s%d.%s", cfg.DBPath, stripes, mode)
+			path := fmt.Sprintf("%s.s%d", cfg.DBPath, stripes)
 			frames := cfg.Frames
 			if frames < 2048 {
 				frames = 2048 // no-steal pool: the dirtied set must fit
 			}
 			db, err = relstore.CreateFile(path, relstore.Options{Frames: frames})
 			if err != nil {
-				return SweepRunStats{}, err
+				return SweepScalingPoint{}, err
 			}
 			defer os.Remove(path)
 			defer db.Close()
@@ -201,14 +182,14 @@ func RunSweepScaling(cfg SweepScalingConfig) (*SweepScalingResult, error) {
 		}
 		model, err := classifier.Train(trainDB, tree, examples, classifier.TrainConfig{})
 		if err != nil {
-			return SweepRunStats{}, err
+			return SweepScalingPoint{}, err
 		}
 		cr, err := crawler.New(db, model, core.NewFetcher(web), ccfg)
 		if err != nil {
-			return SweepRunStats{}, err
+			return SweepScalingPoint{}, err
 		}
 		if err := cr.Seed(web.Seeds(node.ID, cfg.Seeds)); err != nil {
-			return SweepRunStats{}, err
+			return SweepScalingPoint{}, err
 		}
 		db.Disk().Stats().Reset()
 		if mem != nil {
@@ -219,11 +200,12 @@ func RunSweepScaling(cfg SweepScalingConfig) (*SweepScalingResult, error) {
 			mem.SetLatency(0)
 		}
 		if err != nil {
-			return SweepRunStats{}, err
+			return SweepScalingPoint{}, err
 		}
 		sweeps, probes := cr.Links().SweepStats()
 		reads, writes := db.Disk().Stats().Snapshot()
-		st := SweepRunStats{
+		st := SweepScalingPoint{
+			Stripes:      stripes,
 			Visited:      res.Visited,
 			Elapsed:      res.Elapsed,
 			Sweeps:       sweeps,
@@ -241,15 +223,9 @@ func RunSweepScaling(cfg SweepScalingConfig) (*SweepScalingResult, error) {
 	}
 	out := &SweepScalingResult{Workers: cfg.Workers, Frames: cfg.Frames}
 	for _, stripes := range cfg.Stripes {
-		p := SweepScalingPoint{Stripes: stripes}
-		if p.Routed, err = run(stripes, false); err != nil {
+		p, err := run(stripes)
+		if err != nil {
 			return nil, err
-		}
-		if p.Unrouted, err = run(stripes, true); err != nil {
-			return nil, err
-		}
-		if p.Unrouted.PagesPerSec > 0 {
-			p.RoutedGain = p.Routed.PagesPerSec / p.Unrouted.PagesPerSec
 		}
 		out.Points = append(out.Points, p)
 	}
@@ -275,24 +251,21 @@ func (r *SweepScalingResult) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// Render prints the sweep table plus the headline flatness and gain lines.
+// Render prints the sweep table plus the headline flatness line.
 func (r *SweepScalingResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Incoming-weight sweep scaling (%d workers, link-heavy web, %d-frame pool)\n",
 		r.Workers, r.Frames)
-	fmt.Fprintf(w, "%8s %7s %8s %10s %12s %12s %10s %10s %8s\n",
-		"stripes", "mode", "visited", "elapsed", "pages/sec", "probes/sweep", "reads", "writes", "gain")
+	fmt.Fprintf(w, "%8s %8s %10s %12s %12s %10s %10s\n",
+		"stripes", "visited", "elapsed", "pages/sec", "probes/sweep", "reads", "writes")
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "%8d %7s %8d %10s %12.1f %12.2f %10d %10d %8s\n",
-			p.Stripes, "routed", p.Routed.Visited, rnd(p.Routed.Elapsed),
-			p.Routed.PagesPerSec, p.Routed.ProbesPerSweep, p.Routed.DiskReads, p.Routed.DiskWrites, "")
-		fmt.Fprintf(w, "%8s %7s %8d %10s %12.1f %12.2f %10d %10d %7.2fx\n",
-			"", "legacy", p.Unrouted.Visited, rnd(p.Unrouted.Elapsed),
-			p.Unrouted.PagesPerSec, p.Unrouted.ProbesPerSweep, p.Unrouted.DiskReads, p.Unrouted.DiskWrites, p.RoutedGain)
+		fmt.Fprintf(w, "%8d %8d %10s %12.1f %12.2f %10d %10d\n",
+			p.Stripes, p.Visited, rnd(p.Elapsed),
+			p.PagesPerSec, p.ProbesPerSweep, p.DiskReads, p.DiskWrites)
 	}
 	if p8, ok8 := r.PointAt(8); ok8 {
-		if p32, ok32 := r.PointAt(32); ok32 && p8.Routed.PagesPerSec > 0 {
-			fmt.Fprintf(w, "routed pages/sec at 32 stripes vs 8: %.2f (1.00 = perfectly flat)\n",
-				p32.Routed.PagesPerSec/p8.Routed.PagesPerSec)
+		if p32, ok32 := r.PointAt(32); ok32 && p8.PagesPerSec > 0 {
+			fmt.Fprintf(w, "pages/sec at 32 stripes vs 8: %.2f (1.00 = perfectly flat)\n",
+				p32.PagesPerSec/p8.PagesPerSec)
 		}
 	}
 }

@@ -96,10 +96,11 @@ func TestLinkGraphByDstMergeProperty(t *testing.T) {
 // TestRoutedSweepEquivalenceProperty pins the dst-routing of
 // UpdateIncomingFwd at several stripe counts: for random edge sets and a
 // random sweep sequence, the routed sweep must (a) leave the store
-// tuple-for-tuple identical to the legacy probe-every-stripe sweep, and
-// (b) lock and probe exactly the stripes that store at least one edge into
-// the swept target — no more (routing must skip edge-free stripes), no
-// fewer (a skipped stripe would strand a stale weight).
+// edge-for-edge equal to a plain map model of the edge list — first copy of
+// each (src, dst) kept, every edge into a swept dst rewritten — and (b) lock
+// and probe exactly the stripes that store at least one edge into the
+// swept target — no more (routing must skip edge-free stripes), no fewer (a
+// skipped stripe would strand a stale weight).
 func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
@@ -130,64 +131,65 @@ func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 			})
 		}
 
+		// The model: the edge set keyed by identity, arrival order deciding
+		// which duplicate survives, then the sweeps applied in order.
+		type pair struct{ src, dst int64 }
+		model := make(map[pair]Edge)
+		for _, e := range edges {
+			if _, dup := model[pair{e.Src, e.Dst}]; !dup {
+				model[pair{e.Src, e.Dst}] = e
+			}
+		}
+		for _, sw := range sweeps {
+			for k, e := range model {
+				if e.Dst == sw.dst {
+					e.WgtFwd = sw.fwd
+					model[k] = e
+				}
+			}
+		}
+
 		for _, stripes := range []int{1, 2, 5, 8, 16} {
 			t.Run(fmt.Sprintf("trial=%d/stripes=%d", trial, stripes), func(t *testing.T) {
-				load := func(routed bool) *Store {
-					s := newStore(t, stripes)
-					s.SetRouted(routed)
-					for lo := 0; lo < len(edges); lo += 60 {
-						hi := lo + 60
-						if hi > len(edges) {
-							hi = len(edges)
-						}
-						b := &Batch{}
-						for _, e := range edges[lo:hi] {
-							b.Add(e)
-						}
-						if _, err := s.Apply(b, nil); err != nil {
-							t.Fatal(err)
-						}
+				s := newStore(t, stripes)
+				for lo := 0; lo < len(edges); lo += 60 {
+					hi := lo + 60
+					if hi > len(edges) {
+						hi = len(edges)
 					}
-					for _, sw := range sweeps {
-						if err := s.UpdateIncomingFwd(sw.dst, sw.fwd); err != nil {
-							t.Fatal(err)
-						}
+					b := &Batch{}
+					for _, e := range edges[lo:hi] {
+						b.Add(e)
 					}
-					return s
-				}
-				routed, legacy := load(true), load(false)
-
-				dump := func(s *Store) []Edge {
-					it, err := s.ByDstIter()
-					if err != nil {
+					if _, err := s.Apply(b, nil); err != nil {
 						t.Fatal(err)
 					}
-					var out []Edge
-					for {
-						tp, ok, err := it.Next()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !ok {
-							return out
-						}
-						out = append(out, EdgeOf(tp))
-					}
 				}
-				got, want := dump(routed), dump(legacy)
-				if len(got) != len(want) {
-					t.Fatalf("routed store has %d tuples, legacy sweep leaves %d", len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("tuple %d = %+v after routed sweeps, legacy has %+v", i, got[i], want[i])
+				for _, sw := range sweeps {
+					if err := s.UpdateIncomingFwd(sw.dst, sw.fwd); err != nil {
+						t.Fatal(err)
 					}
 				}
 
-				// Probe accounting: the routed store must have probed exactly
-				// the stripes holding edges into each swept dst (counting a
-				// dst once per sweep of it), the legacy store exactly
-				// stripes-per-sweep.
+				got := 0
+				err := s.Scan(func(_ relstore.RID, tp relstore.Tuple) (bool, error) {
+					e := EdgeOf(tp)
+					got++
+					if want, ok := model[pair{e.Src, e.Dst}]; !ok || e != want {
+						return true, fmt.Errorf("stored edge %+v, model has %+v (present %v)", e, want, ok)
+					}
+					return false, nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != len(model) {
+					t.Fatalf("store holds %d edges, model %d", got, len(model))
+				}
+
+				// Probe accounting: the store must have probed exactly the
+				// stripes holding edges into each swept dst (counting a dst
+				// once per sweep of it).
 				stripesInto := func(dst int64) int64 {
 					seen := map[int]bool{}
 					for _, e := range edges {
@@ -201,15 +203,12 @@ func TestRoutedSweepEquivalenceProperty(t *testing.T) {
 				for _, sw := range sweeps {
 					wantProbes += stripesInto(sw.dst)
 				}
-				nSweeps, probes := routed.SweepStats()
+				nSweeps, probes := s.SweepStats()
 				if nSweeps != int64(len(sweeps)) {
-					t.Fatalf("routed SweepStats sweeps = %d, ran %d", nSweeps, len(sweeps))
+					t.Fatalf("SweepStats sweeps = %d, ran %d", nSweeps, len(sweeps))
 				}
 				if probes != wantProbes {
-					t.Fatalf("routed sweeps probed %d stripes, edges into swept dsts span %d", probes, wantProbes)
-				}
-				if _, lp := legacy.SweepStats(); lp != int64(len(sweeps)*stripes) {
-					t.Fatalf("legacy sweeps probed %d stripes, want %d", lp, len(sweeps)*stripes)
+					t.Fatalf("sweeps probed %d stripes, edges into swept dsts span %d", probes, wantProbes)
 				}
 			})
 		}

@@ -130,8 +130,8 @@ func TestLinkGraphRoutedSweepStress(t *testing.T) {
 			}
 
 			// Routing sanity: sweeps ran, and on multi-stripe stores they
-			// probed strictly fewer stripes than the legacy
-			// every-stripe sweep would have (dsts span at most `dsts` srcs'
+			// probed strictly fewer stripes than an every-stripe
+			// sweep would have (dsts span at most `dsts` srcs'
 			// stripes, and early sweeps see sparse masks).
 			sweeps, probes := s.SweepStats()
 			if sweeps != workers*batches {

@@ -14,9 +14,9 @@ import (
 // from any number of goroutines; page *contents* may be written while
 // pinned only by one owner at a time (here, each goroutine writes only
 // pages it owns) and read freely by concurrent pinners. Each suite runs at
-// Shards=1 (the seed pool's serial-miss semantics) and at several sharded
-// widths (off-latch miss I/O, the loading-frame protocol). Run with -race:
-// the CI workflow does.
+// Shards=1 (every page behind one latch) and at several sharded widths;
+// misses take the same off-latch loading-frame protocol at all of them.
+// Run with -race: the CI workflow does.
 
 var stressShardCounts = []int{1, 4, 16}
 
@@ -227,14 +227,14 @@ func testBufferPoolConcurrentTables(t *testing.T, disk DiskManager, shards int) 
 	}
 }
 
-// TestBufferPoolSingleFlightStress pins the sharded miss protocol's
-// single-flight guarantee: N goroutines Fetch the same cold page
+// TestBufferPoolSingleFlightStress pins the miss protocol's single-flight
+// guarantee: N goroutines Fetch the same cold page
 // concurrently, and exactly one DiskManager.ReadPage happens — the first
 // fetcher publishes the frame in loading state and reads off-latch, the
 // rest wait on that frame and share the one physical read. Everyone sees
 // the same frame with identical bytes.
 func TestBufferPoolSingleFlightStress(t *testing.T) {
-	for _, shards := range []int{2, 4, 16} {
+	for _, shards := range []int{1, 2, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			const fetchers = 16
 			disk := NewMemDisk()
@@ -467,4 +467,80 @@ func TestBufferPoolShardExhaustion(t *testing.T) {
 	}
 	bp.Unpin(f, false)
 	bp.Unpin(a, false)
+}
+
+// gatedDisk blocks ReadPage of one page until gate closes, announcing on
+// entered that the read has started.
+type gatedDisk struct {
+	*MemDisk
+	pid     PageID
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (d *gatedDisk) ReadPage(pid PageID, buf []byte) error {
+	if pid == d.pid {
+		close(d.entered)
+		<-d.gate
+	}
+	return d.MemDisk.ReadPage(pid, buf)
+}
+
+// TestBufferPoolHitDuringMissRead pins that a miss never holds its shard's
+// latch across the disk read, even in a single-shard pool: while one
+// goroutine's read of a cold page is parked inside ReadPage, a Fetch of a
+// resident page of the same (only) shard must return.
+func TestBufferPoolHitDuringMissRead(t *testing.T) {
+	mem := NewMemDisk()
+	var pids [2]PageID
+	for i := range pids {
+		pid, err := mem.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.WritePage(pid, make([]byte, PageSize)); err != nil {
+			t.Fatal(err)
+		}
+		pids[i] = pid
+	}
+	hot, cold := pids[0], pids[1]
+	disk := &gatedDisk{MemDisk: mem, pid: cold, entered: make(chan struct{}), gate: make(chan struct{})}
+	bp := NewBufferPool(disk, 8)
+	f, err := bp.Fetch(hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.Unpin(f, false)
+
+	missDone := make(chan error, 1)
+	go func() {
+		f, err := bp.Fetch(cold)
+		if err == nil {
+			bp.Unpin(f, false)
+		}
+		missDone <- err
+	}()
+	<-disk.entered
+	hitDone := make(chan error, 1)
+	go func() {
+		f, err := bp.Fetch(hot)
+		if err == nil {
+			bp.Unpin(f, false)
+		}
+		hitDone <- err
+	}()
+	select {
+	case err := <-hitDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(disk.gate)
+		<-missDone
+		t.Fatal("a hit on a resident page waited for another page's miss read (latch held across ReadPage)")
+	}
+	close(disk.gate)
+	if err := <-missDone; err != nil {
+		t.Fatal(err)
+	}
 }

@@ -36,8 +36,8 @@
 //     unpinned frames, so a frame's page image is stable for as long as a
 //     caller holds a pin. The pool may be partitioned into independent
 //     shards (NewBufferPoolSharded); pages are hashed to shards by PageID,
-//     each shard has its own latch, and with more than one shard a miss
-//     performs its disk read *outside* the shard latch. Concurrent
+//     each shard has its own latch, and a miss performs its disk read
+//     *outside* the shard latch at every shard count. Concurrent
 //     fetchers of the same cold page single-flight onto one read: a Fetch
 //     that returns never exposes a partially loaded frame, and the page
 //     image it pins is exactly the on-disk image (or the image a

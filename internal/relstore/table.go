@@ -265,8 +265,9 @@ type Options struct {
 	// Frames is the buffer-pool size in 4 KiB frames (default 2048 = 8 MiB).
 	Frames int
 	// PoolShards partitions the buffer pool's page table and frames into
-	// independent shards with off-latch page I/O on misses (0/1 = a single
-	// shard with the seed pool's serial-miss semantics — the default).
+	// independent shards, each with its own latch (default 1). Misses do
+	// their page I/O off the latch at every shard count; more shards only
+	// split the latch that hits and victim selection take.
 	PoolShards int
 }
 
